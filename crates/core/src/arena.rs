@@ -101,7 +101,7 @@ impl PairArena {
     pub fn from_rows(rows: &[Vec<(u32, f64)>]) -> Self {
         let mut b = PairArenaBuilder::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
         for row in rows {
-            b.push_row(row.iter().copied());
+            b.push_pairs(row);
         }
         b.finish()
     }
@@ -256,6 +256,29 @@ impl PairArena {
     pub fn heap_size_bytes(&self) -> usize {
         self.offsets.capacity() * 4 + self.ids.capacity() * 4 + self.dists.capacity() * 8
     }
+
+    /// Empties the arena into a builder that refills its allocations,
+    /// growing them to hold about `rows` rows and `pairs` pairs — the
+    /// reuse path of per-query arenas.
+    pub(crate) fn recycle(self, rows: usize, pairs: usize) -> PairArenaBuilder {
+        let PairArena {
+            mut offsets,
+            mut ids,
+            mut dists,
+        } = self;
+        offsets.clear();
+        ids.clear();
+        dists.clear();
+        offsets.reserve(rows + 1);
+        ids.reserve(pairs);
+        dists.reserve(pairs);
+        offsets.push(0);
+        PairArenaBuilder {
+            offsets,
+            ids,
+            dists,
+        }
+    }
 }
 
 /// Incremental [`PairArena`] construction: push rows in order, finish.
@@ -284,6 +307,14 @@ impl PairArenaBuilder {
             self.ids.push(id);
             self.dists.push(d);
         }
+        self.offsets.push(checked_offset(self.ids.len() as u64));
+    }
+
+    /// Appends the next row from a slice of pairs: [`Self::push_row`] as
+    /// two linear passes, one per output array.
+    pub(crate) fn push_pairs(&mut self, row: &[(u32, f64)]) {
+        self.ids.extend(row.iter().map(|&(id, _)| id));
+        self.dists.extend(row.iter().map(|&(_, d)| d));
         self.offsets.push(checked_offset(self.ids.len() as u64));
     }
 
@@ -517,6 +548,25 @@ mod tests {
         assert_eq!(joined.row(1).to_pairs(), vec![(2, 2.0), (3, 3.0)]);
         assert!(joined.row(2).is_empty());
         assert_eq!(joined.row(3).to_pairs(), vec![(4, 4.0)]);
+    }
+
+    #[test]
+    fn recycle_refills_the_same_allocation() {
+        let big = PairArena::from_rows(&rows_fixture());
+        let ids_ptr = big.ids.as_ptr();
+        let mut b = big.recycle(2, 3);
+        b.push_row([(7, 1.5)]);
+        b.push_pairs(&[(8, 2.5), (9, 3.5)]);
+        let reused = b.finish();
+        assert_eq!(reused.ids.as_ptr(), ids_ptr, "fits: no reallocation");
+        assert_eq!(
+            reused,
+            PairArena::from_rows(&[vec![(7, 1.5)], vec![(8, 2.5), (9, 3.5)]])
+        );
+        // The default (empty) arena recycles into a working builder too.
+        let mut b = PairArena::default().recycle(1, 1);
+        b.push_row([(0, 0.0)]);
+        assert_eq!(b.finish().row(0).to_pairs(), vec![(0, 0.0)]);
     }
 
     #[test]

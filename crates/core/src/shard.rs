@@ -48,12 +48,14 @@
 //! candidate ordering sorts by `(instance cluster id, node id)`, exactly
 //! the order the monolithic provider enumerates representatives in.
 
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::{NodeId, RegionPartition, RoadNetwork};
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
 
-use crate::arena::{PairArena, PairArenaBuilder, PairSlice};
+use crate::arena::{PairArena, PairSlice};
 use crate::coverage::CoverageProvider;
 use crate::greedy::{inc_greedy_from, GreedyConfig};
 use crate::index::{NetClusConfig, NetClusIndex, NetworkClustering};
@@ -351,8 +353,11 @@ pub struct Candidate {
     /// of the candidate list carries its own local utility (`Σ` of the
     /// first `k'` gains) — what makes [`ShardRoundOne::prefix`] exact.
     pub gain: f64,
-    /// `T̂C` row of the candidate, copied out of the shard provider.
-    pub row: Vec<(u32, f64)>,
+    /// `T̂C` row of the candidate. Copied out of the shard provider once,
+    /// then shared immutably: cloning a candidate (a memo insert, a memo
+    /// prefix, the gather) bumps a reference count instead of copying
+    /// the row.
+    pub row: Arc<[(u32, f64)]>,
 }
 
 /// Result of one shard's round-1 local greedy.
@@ -392,6 +397,10 @@ impl ShardRoundOne {
     /// memoized round answer every smaller-`k` query at the same
     /// `(epoch, shard, τ, ψ)` — the basis of the serving layer's round-1
     /// candidate memo.
+    ///
+    /// The prefix shares its candidates' coverage rows with `self` (see
+    /// [`Candidate::row`]), so slicing costs a reference-count bump per
+    /// candidate, not a row copy.
     ///
     /// `elapsed` (and `solve_us` with it) is zeroed: a sliced answer
     /// costs no solve time, and reporting the original run's duration
@@ -471,7 +480,7 @@ impl Candidate {
         put_u32w(buf, self.cluster);
         put_u64w(buf, self.gain.to_bits());
         put_u32w(buf, self.row.len() as u32);
-        for &(traj, detour) in &self.row {
+        for &(traj, detour) in self.row.iter() {
             put_u32w(buf, traj);
             put_u64w(buf, detour.to_bits());
         }
@@ -497,7 +506,7 @@ impl Candidate {
             node,
             cluster,
             gain,
-            row,
+            row: row.into(),
         })
     }
 }
@@ -657,7 +666,7 @@ pub fn local_candidates_on(
             node: provider.site_node(idx),
             cluster: provider.cluster_of(idx),
             gain,
-            row: provider.covered(idx).to_pairs(),
+            row: provider.covered(idx).iter().collect(),
         })
         .collect();
     ShardRoundOne {
@@ -678,11 +687,16 @@ pub fn local_candidates_on(
 /// order the monolithic provider enumerates representatives in — so the
 /// greedy's highest-index tie-breaking agrees with the monolithic run on
 /// partition-respecting corpora.
+///
+/// Only the `T̂C` rows are built up front. The inverted `ŜC` view spans
+/// the whole trajectory-id space, and the CELF lazy greedy every merge
+/// runs never reads it, so it is built on the first
+/// [`CoverageProvider::covering`] call (the eager greedy's path).
 #[derive(Debug)]
 pub struct MergedCandidateProvider {
     nodes: Vec<NodeId>,
     tc: PairArena,
-    sc: PairArena,
+    sc: OnceLock<PairArena>,
     traj_id_bound: usize,
 }
 
@@ -690,26 +704,39 @@ impl MergedCandidateProvider {
     /// Builds the merged view. Duplicate nodes (the same site selected by
     /// two shards, possible only for multiply-represented clusters) are
     /// collapsed, keeping the first row.
-    pub fn new(mut candidates: Vec<Candidate>, traj_id_bound: usize) -> MergedCandidateProvider {
+    pub fn new(candidates: Vec<Candidate>, traj_id_bound: usize) -> MergedCandidateProvider {
+        Self::new_in(candidates, traj_id_bound, PairArena::default())
+    }
+
+    /// [`MergedCandidateProvider::new`] copying the rows into `storage`'s
+    /// allocations (see [`Self::into_storage`]) instead of fresh ones.
+    fn new_in(
+        mut candidates: Vec<Candidate>,
+        traj_id_bound: usize,
+        storage: PairArena,
+    ) -> MergedCandidateProvider {
         candidates.sort_by(|a, b| a.cluster.cmp(&b.cluster).then(a.node.cmp(&b.node)));
         candidates.dedup_by(|a, b| a.node == b.node);
-        let mut b = PairArenaBuilder::with_capacity(
+        let mut b = storage.recycle(
             candidates.len(),
             candidates.iter().map(|c| c.row.len()).sum(),
         );
         let mut nodes = Vec::with_capacity(candidates.len());
         for c in &candidates {
             nodes.push(c.node);
-            b.push_row(c.row.iter().copied());
+            b.push_pairs(&c.row);
         }
-        let tc = b.finish();
-        let sc = tc.invert(traj_id_bound);
         MergedCandidateProvider {
             nodes,
-            tc,
-            sc,
+            tc: b.finish(),
+            sc: OnceLock::new(),
             traj_id_bound,
         }
+    }
+
+    /// Gives back the row storage for reuse by a later [`Self::new_in`].
+    fn into_storage(self) -> PairArena {
+        self.tc
     }
 }
 
@@ -731,8 +758,16 @@ impl CoverageProvider for MergedCandidateProvider {
     }
 
     fn covering(&self, tj: TrajId) -> PairSlice<'_> {
-        self.sc.row(tj.index())
+        self.sc
+            .get_or_init(|| self.tc.invert(self.traj_id_bound))
+            .row(tj.index())
     }
+}
+
+thread_local! {
+    /// Row storage of this thread's last merged view, reused by its next
+    /// merge so a serving thread's merges stop allocating once warm.
+    static MERGE_STORAGE: Cell<PairArena> = Cell::new(PairArena::default());
 }
 
 /// Round 2: exact greedy over the candidate union on the merged coverage
@@ -750,7 +785,7 @@ pub fn merge_candidates(
 /// Wall-clock split of one round-2 merge (see [`merge_candidates_timed`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MergeTiming {
-    /// Building the merged coverage view (dedup + arena + inversion).
+    /// Building the merged coverage view (sort + dedup + row copy).
     pub build_us: u64,
     /// The exact greedy over the merged view.
     pub solve_us: u64,
@@ -765,7 +800,8 @@ pub fn merge_candidates_timed(
     traj_id_bound: usize,
 ) -> (Solution, usize, MergeTiming) {
     let t = Instant::now();
-    let provider = MergedCandidateProvider::new(candidates, traj_id_bound);
+    let storage = MERGE_STORAGE.with(Cell::take);
+    let provider = MergedCandidateProvider::new_in(candidates, traj_id_bound, storage);
     let build_us = t.elapsed().as_micros() as u64;
     let cfg = GreedyConfig {
         k: q.k,
@@ -777,6 +813,7 @@ pub fn merge_candidates_timed(
     let t = Instant::now();
     let solution = inc_greedy_from(&provider, &cfg, &[]);
     let solve_us = t.elapsed().as_micros() as u64;
+    MERGE_STORAGE.with(|cell| cell.set(provider.into_storage()));
     (solution, n, MergeTiming { build_us, solve_us })
 }
 
@@ -1028,7 +1065,7 @@ mod tests {
             node: NodeId(node),
             cluster,
             gain: 0.0,
-            row,
+            row: row.into(),
         };
         let provider = MergedCandidateProvider::new(
             vec![
@@ -1042,12 +1079,57 @@ mod tests {
         assert_eq!(provider.site_node(0), NodeId(3));
         assert_eq!(provider.site_node(1), NodeId(7));
         assert_eq!(provider.covered(1).to_pairs(), vec![(0, 5.0), (1, 6.0)]);
+        assert!(provider.sc.get().is_none(), "inversion is built on demand");
         assert_eq!(
             provider.covering(TrajId(1)).to_pairs(),
             vec![(0, 2.0), (1, 6.0)]
         );
         assert!(provider.covering(TrajId(2)).is_empty());
         assert_eq!(provider.traj_id_bound(), 3);
+        // The lazily built inversion is exactly the eager one, row for row.
+        let want = provider.tc.invert(3);
+        for tj in 0..3u32 {
+            assert_eq!(
+                provider.covering(TrajId(tj)).to_pairs(),
+                want.row(tj as usize).to_pairs(),
+                "covering row {tj}"
+            );
+        }
+        assert_eq!(provider.sc.get(), Some(&want));
+    }
+
+    #[test]
+    fn merge_reuses_its_row_storage_and_matches_a_fresh_view() {
+        let (net, trajs, sites, partition) = fixture();
+        let sharded = ShardedNetClusIndex::build(&net, &trajs, &sites, &partition, config());
+        let bound = sharded.traj_id_bound();
+        let mut scratch = ProviderScratch::default();
+        let mut storage = PairArena::default();
+        for (k, tau) in [(4, 1_500.0), (2, 800.0), (3, 600.0)] {
+            let q = TopsQuery::binary(k, tau);
+            let candidates: Vec<Candidate> = sharded
+                .shards()
+                .iter()
+                .flat_map(|s| local_candidates(&s.index, &q, bound, &mut scratch).candidates)
+                .collect();
+            let fresh = MergedCandidateProvider::new(candidates.clone(), bound);
+            let reused = MergedCandidateProvider::new_in(candidates.clone(), bound, storage);
+            assert_eq!(reused.nodes, fresh.nodes);
+            assert_eq!(reused.tc, fresh.tc, "k={k} τ={tau}");
+            storage = reused.into_storage();
+            // The pooled merge answers exactly as a fresh view does.
+            let cfg = GreedyConfig {
+                k,
+                tau,
+                preference: q.preference,
+                lazy: true,
+            };
+            let want = inc_greedy_from(&fresh, &cfg, &[]);
+            let (got, n, _) = merge_candidates_timed(candidates, &q, bound);
+            assert_eq!(n, fresh.site_count());
+            assert_eq!(got.sites, want.sites);
+            assert_eq!(got.utility.to_bits(), want.utility.to_bits());
+        }
     }
 
     #[test]
@@ -1163,13 +1245,13 @@ mod tests {
                     node: NodeId(7),
                     cluster: 3,
                     gain: 2.5,
-                    row: vec![(0, 120.25), (4, 300.5)],
+                    row: vec![(0, 120.25), (4, 300.5)].into(),
                 },
                 Candidate {
                     node: NodeId(11),
                     cluster: 3,
                     gain: 1.0 / 3.0, // not exactly representable: bit test
-                    row: vec![],
+                    row: Vec::new().into(),
                 },
             ],
             k: 2,

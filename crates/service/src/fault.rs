@@ -360,8 +360,11 @@ enum BreakerPhase {
 }
 
 /// Per-shard circuit breaker: closed → open → half-open with
-/// single-probe admission. Outcomes are recorded by the gather (the one
-/// place every task's fate is known), so a task is counted exactly once.
+/// single-probe admission. Each task's outcome is recorded exactly once:
+/// a regular task's by the gather (which knows its fate, including a
+/// lost reply), a half-open probe's by the worker that ran it (the gather
+/// may stop listening before the probe finishes, when a sibling replica
+/// answers first).
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     phase: Mutex<BreakerPhase>,

@@ -461,7 +461,7 @@ pub struct RoundCacheStats {
 
 struct RoundEntry {
     /// `Arc`-held so a hit clones a pointer under the lock and slices the
-    /// (row-carrying, potentially large) prefix outside it.
+    /// prefix outside it.
     round: Arc<ShardRoundOne>,
     last_used: u64,
 }
@@ -504,9 +504,10 @@ impl RoundOneCache {
     /// Answers a `k`-request from the memo if a round computed for some
     /// `k_cached ≥ k` is resident: the returned round is its `k`-prefix.
     ///
-    /// The coverage-row deep copy of the prefix happens **outside** the
-    /// memo lock — under the lock a hit only bumps recency and clones an
-    /// `Arc`, so warm workers don't serialize on row copies.
+    /// No coverage row is copied: the prefix shares its rows with the
+    /// memoized round ([`netclus::shard::Candidate::row`] is
+    /// reference-counted). Under the lock a hit only bumps recency and
+    /// clones an `Arc`; the prefix is sliced outside it.
     pub fn lookup(&self, key: &RoundKey, k: usize) -> Option<ShardRoundOne> {
         let hit: Option<Arc<ShardRoundOne>> = {
             let mut inner = self.lock();
@@ -635,7 +636,7 @@ mod tests {
                     node: NodeId(i as u32),
                     cluster: i as u32,
                     gain,
-                    row: vec![(i as u32, gain)],
+                    row: vec![(i as u32, gain)].into(),
                 })
                 .collect(),
             k,
@@ -823,6 +824,20 @@ mod tests {
         assert_eq!(s.entries, 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.hits, 4);
+    }
+
+    #[test]
+    fn round_memo_prefix_shares_rows_with_the_memoized_round() {
+        let memo = RoundOneCache::new(4);
+        let key = RoundKey::new(0, 0, 800.0, &PreferenceFunction::Binary);
+        let original = round(3, &[5.0, 3.0, 1.0]);
+        memo.insert(key, original.clone());
+        let resident = memo.lookup(&key, 3).expect("exact hit");
+        let prefix = memo.lookup(&key, 2).expect("prefix hit");
+        for (i, c) in prefix.candidates.iter().enumerate() {
+            assert!(Arc::ptr_eq(&c.row, &resident.candidates[i].row), "row {i}");
+            assert!(Arc::ptr_eq(&c.row, &original.candidates[i].row), "row {i}");
+        }
     }
 
     #[test]

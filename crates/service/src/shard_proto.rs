@@ -750,7 +750,7 @@ mod tests {
                 node: NodeId(3),
                 cluster: 1,
                 gain: 4.25,
-                row: vec![(2, 150.0), (5, 600.5)],
+                row: vec![(2, 150.0), (5, 600.5)].into(),
             }],
             k: 3,
             instance: 0,

@@ -296,7 +296,7 @@ pub struct ShardedServiceAnswer {
 /// A successful round-1 shard reply — what a [`ShardTransport`] returns.
 /// The trajectory-id bound rides along because shard bounds can differ
 /// (a shard that never received a trajectory keeps the shorter id space)
-/// and the merge must size its inversion to the largest; `source`
+/// and the merge must size its per-trajectory state to the largest; `source`
 /// reports where the round-1 answer came from (memo, provider hit,
 /// coalesced wait, or build), which drives the hot/cold lane split and
 /// the trace span detail.
@@ -304,7 +304,7 @@ pub struct ShardedServiceAnswer {
 pub struct Round1Ok {
     /// Epoch the shard snapshot was pinned at.
     pub epoch: u64,
-    /// The shard's trajectory-id bound (merge inversion sizing).
+    /// The shard's trajectory-id bound (sizes the merge's trajectory state).
     pub bound: usize,
     /// Which cache lane served the answer.
     pub source: Round1Source,
@@ -955,6 +955,12 @@ struct ShardTask {
     /// it with [`ShardFailure::TimedOut`] instead of computing an answer
     /// the gather has already given up on.
     deadline: Option<Instant>,
+    /// `Some(lockstep epoch)` when the task is its replica's half-open
+    /// breaker probe. The worker records a probe's outcome on the breaker
+    /// itself (an answer at another epoch counts as a failure): the
+    /// gather stops listening once a sibling wins the lane, and a probe
+    /// nobody records would leave the breaker half-open for good.
+    probe: Option<u64>,
     reply: Sender<ShardReplyMsg>,
 }
 
@@ -1518,6 +1524,7 @@ impl ShardRouter {
                 replica,
                 query,
                 deadline,
+                probe: None,
                 reply: reply.clone(),
             });
             inner.clock.metrics.queue_enter();
@@ -1586,12 +1593,13 @@ impl ShardRouter {
                     });
                     continue;
                 }
-                for &(replica, _, _) in &fired {
+                for &(replica, probe, _) in &fired {
                     queue.tasks.push_back(ShardTask {
                         shard,
                         replica,
                         query,
                         deadline: round1_deadline,
+                        probe: probe.then_some(lockstep_epoch),
                         reply: tx.clone(),
                     });
                     inner.clock.metrics.queue_enter();
@@ -1702,9 +1710,13 @@ impl ShardRouter {
             lane.fired[idx].2 = true;
             let probe = lane.fired[idx].1;
             let resolved = outcomes[s].is_some();
+            // A probe's outcome is recorded by its worker (see
+            // `ShardTask::probe`), every other attempt's here.
             match result {
                 Ok(ok) if ok.epoch == lockstep_epoch => {
-                    inner.breakers[s][replica as usize].record_success(probe);
+                    if !probe {
+                        inner.breakers[s][replica as usize].record_success(false);
+                    }
                     if !resolved {
                         if lane.hedge_idx == Some(idx) {
                             inner.faultc.hedge_wins.fetch_add(1, Ordering::Relaxed);
@@ -1729,7 +1741,9 @@ impl ShardRouter {
                     } else {
                         inner.faultc.shard_failures.fetch_add(1, Ordering::Relaxed);
                     }
-                    inner.breakers[s][replica as usize].record_failure(Instant::now(), probe);
+                    if !probe {
+                        inner.breakers[s][replica as usize].record_failure(Instant::now(), false);
+                    }
                     if !resolved {
                         // Fail over to the next replica immediately; once
                         // none is left and nothing is in flight, the
@@ -1763,9 +1777,10 @@ impl ShardRouter {
             }
         }
         // Shards that never resolved: late (budget blown) or lost. Their
-        // still-unanswered attempts are charged to their breakers;
-        // attempts racing a shard that already resolved are cancelled
-        // losers and cost their replicas nothing.
+        // still-unanswered attempts are charged to their breakers (probes
+        // by their workers, once they finish); attempts racing a shard
+        // that already resolved are cancelled losers and cost their
+        // replicas nothing.
         let verdict_at = Instant::now();
         for (s, slot) in outcomes.iter_mut().enumerate() {
             if slot.is_some() {
@@ -1783,7 +1798,9 @@ impl ShardRouter {
                     } else {
                         inner.faultc.shard_failures.fetch_add(1, Ordering::Relaxed);
                     }
-                    inner.breakers[s][replica as usize].record_failure(verdict_at, probe);
+                    if !probe {
+                        inner.breakers[s][replica as usize].record_failure(verdict_at, false);
+                    }
                 }
             }
             *slot = Some(Err(failure));
@@ -2560,14 +2577,34 @@ struct ReplyGuard<'a> {
     shard: u32,
     replica: u32,
     abandoned: &'a AtomicU64,
+    /// A probe task's breaker and lockstep epoch (see `ShardTask::probe`);
+    /// taken when the outcome is recorded, so it is recorded once.
+    probe: Option<(&'a CircuitBreaker, u64)>,
 }
 
 impl ReplyGuard<'_> {
+    /// Records a probe task's outcome on its breaker (no-op otherwise).
+    fn settle_probe(&mut self, answered: bool) {
+        if let Some((breaker, _)) = self.probe.take() {
+            if answered {
+                breaker.record_success(true);
+            } else {
+                breaker.record_failure(Instant::now(), true);
+            }
+        }
+    }
+
     /// Sends the task's outcome. A failed send means the gather stopped
     /// listening (deadline given up, client gone, or a hedged sibling
     /// already won) — counted as an abandoned gather instead of silently
-    /// ignored.
+    /// ignored. A probe's outcome reaches its breaker before the reply
+    /// leaves, whether or not the gather still listens.
     fn send(mut self, result: Result<Round1Ok, ShardFailure>) {
+        let answered = matches!(
+            (&result, self.probe),
+            (Ok(ok), Some((_, epoch))) if ok.epoch == epoch
+        );
+        self.settle_probe(answered);
         if let Some(tx) = self.reply.take() {
             if tx.send((self.shard, self.replica, result)).is_err() {
                 self.abandoned.fetch_add(1, Ordering::Relaxed);
@@ -2579,12 +2616,14 @@ impl ReplyGuard<'_> {
     /// [`FaultAction::Drop`](crate::fault::FaultAction::Drop), which
     /// models exactly this.
     fn disarm(mut self) {
+        self.settle_probe(false);
         self.reply = None;
     }
 }
 
 impl Drop for ReplyGuard<'_> {
     fn drop(&mut self) {
+        self.settle_probe(false);
         // Reached with the sender still armed only when a panic unwinds
         // through the task: convert the crash into a typed failure so the
         // gather never hangs on a dead worker.
@@ -2664,6 +2703,7 @@ fn worker_loop(inner: &RouterInner) {
             replica,
             query,
             deadline,
+            probe,
             reply,
         } = task;
         let lane = shard as usize;
@@ -2676,6 +2716,7 @@ fn worker_loop(inner: &RouterInner) {
             shard,
             replica,
             abandoned: &inner.faultc.abandoned_gathers,
+            probe: probe.map(|epoch| (&inner.breakers[lane][replica as usize], epoch)),
         };
         // Fault-injection hook: one relaxed load when disabled.
         if inner.fault_on.load(Ordering::Acquire) {
@@ -3361,6 +3402,79 @@ mod tests {
             router.replica_breaker_snapshots(0)[0].state,
             BreakerState::Closed
         );
+        router.shutdown();
+    }
+
+    /// Polls replica `(s, r)`'s breaker until it reaches `want` (at most
+    /// 5 s); whether it got there.
+    fn await_breaker(router: &ShardRouter, s: usize, r: usize, want: BreakerState) -> bool {
+        let until = Instant::now() + Duration::from_secs(5);
+        while router.replica_breaker_snapshots(s)[r].state != want {
+            if Instant::now() >= until {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        true
+    }
+
+    #[test]
+    fn probe_that_loses_to_its_sibling_still_reaches_the_breaker() {
+        let router = replicated(
+            2,
+            ShardRouterConfig {
+                breaker: BreakerConfig {
+                    failure_threshold: 1,
+                    cooldown: Duration::from_millis(40),
+                },
+                ..Default::default()
+            },
+        );
+        let q = TopsQuery::binary(2, 800.0);
+        router.set_fault_plan(Some(
+            FaultPlan::new(31).with_rule(FaultRule::always(0, FaultAction::Error).on_replica(0)),
+        ));
+        assert!(!router.query_blocking(q).unwrap().degraded);
+        assert_eq!(
+            router.replica_breaker_snapshots(0)[0].state,
+            BreakerState::Open
+        );
+        // Replica (0,0) turns slow: its probe sleeps well past the query's
+        // round-1 budget, so the sibling always answers first and the
+        // gather stops listening before the probe finishes.
+        let slow = Duration::from_millis(500);
+        router
+            .set_fault_plan(Some(FaultPlan::new(31).with_rule(
+                FaultRule::always(0, FaultAction::Delay(slow)).on_replica(0),
+            )));
+        std::thread::sleep(Duration::from_millis(50));
+        let opts = QueryOptions::with_deadline(Duration::from_millis(300));
+        let probed = router.query(q, &opts).unwrap();
+        assert!(!probed.degraded && !probed.stale);
+        assert_eq!(
+            router.replica_breaker_snapshots(0)[0].state,
+            BreakerState::HalfOpen,
+            "the answer must not wait for the probe"
+        );
+        // The probe wakes past its deadline and is shed as timed out: a
+        // failed probe, which re-opens the breaker.
+        assert!(
+            await_breaker(&router, 0, 0, BreakerState::Open),
+            "failed probe never reached the breaker"
+        );
+        // Healed but still slow, and no deadline to miss: the next probe
+        // loses the race again, answers late, and closes the breaker.
+        std::thread::sleep(Duration::from_millis(50));
+        let healed = router.query_blocking(q).unwrap();
+        assert!(!healed.degraded);
+        assert!(
+            await_breaker(&router, 0, 0, BreakerState::Closed),
+            "successful probe never reached the breaker"
+        );
+        let snap = router.replica_breaker_snapshots(0)[0];
+        assert_eq!(snap.probes, 2);
+        assert_eq!(snap.closes, 1);
+        assert_eq!(router.fault_report().degraded_answers, 0);
         router.shutdown();
     }
 

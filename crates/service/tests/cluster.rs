@@ -469,7 +469,7 @@ fn sample_frames() -> Vec<(bool, Vec<u8>)> {
             node: NodeId(3),
             cluster: 1,
             gain: 4.25,
-            row: vec![(2, 150.0), (5, 600.5)],
+            row: vec![(2, 150.0), (5, 600.5)].into(),
         }],
         k: 3,
         instance: 0,
