@@ -38,7 +38,7 @@ fn bench_update(c: &mut Criterion) {
         let mut idx = index.clone();
         b.iter(|| {
             idx.add_trajectory(new_id, &sample);
-            idx.remove_trajectory(new_id);
+            idx.remove_trajectory(new_id, &sample);
             black_box(&idx);
         })
     });

@@ -12,17 +12,26 @@
 //! 5. member nodes with their distances to `c_i`.
 //!
 //! Trajectories are stored in compressed form: consecutive nodes falling in
-//! the same cluster collapse, so `CC(T_j)` (the cluster sequence, with one
-//! entry per distinct visited cluster holding the minimal distance) is both
-//! the inverse map for updates (Sec. 6) and the compression that gives
-//! NetClus its small footprint.
+//! the same cluster collapse into `CC(T_j)` (the cluster sequence, with one
+//! entry per distinct visited cluster holding the minimal distance), the
+//! compression that gives NetClus its small footprint. `CC(T_j)` is a pure
+//! function of the trajectory and the instance's fixed node maps
+//! (`map_trajectory`), so the update path (Sec. 6) recomputes it instead
+//! of storing an inverse map.
+//!
+//! Every list is a frozen `Arc<[..]>` (one indirection, like a `Vec`, on
+//! the query path): member and neighbor lists never change after the
+//! build, and an update batch replaces only the trajectory lists it edits
+//! (see [`crate::update`]). Cloning an instance — what a snapshot writer
+//! does before applying a batch — therefore copies cluster headers, not
+//! lists, and the next epoch shares every list the batch did not touch.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use netclus_roadnet::{NodeId, RoadNetwork, RoundTripEngine};
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
 
-use crate::arena::RowArena;
 use crate::gdsp::GdspResult;
 
 /// How to pick the cluster representative among the cluster's candidate
@@ -50,13 +59,16 @@ pub struct Cluster {
     /// `dr(c_i, r_i)`; 0 when there is no representative.
     pub rep_distance: f64,
     /// Member vertices with `dr(v, c_i)`, ascending (center first).
-    pub nodes: Vec<(NodeId, f64)>,
+    /// Fixed after the build, so shared by every clone.
+    pub nodes: Arc<[(NodeId, f64)]>,
     /// `T L(g_i)`: trajectories passing through the cluster with
-    /// `dr(T_j, c_i)` (minimum over their member nodes).
-    pub traj_list: Vec<(TrajId, f64)>,
+    /// `dr(T_j, c_i)` (minimum over their member nodes). Shared by clones;
+    /// an update batch that edits it installs a new list.
+    pub traj_list: Arc<[(TrajId, f64)]>,
     /// `CL(g_i)`: neighbor clusters `(index, dr(c_i, c_j))`, ascending by
-    /// distance; includes the cluster itself at distance 0.
-    pub neighbors: Vec<(u32, f64)>,
+    /// distance; includes the cluster itself at distance 0. Fixed after
+    /// the build, so shared by every clone.
+    pub neighbors: Arc<[(u32, f64)]>,
 }
 
 impl Cluster {
@@ -89,16 +101,13 @@ pub struct ClusterInstance {
     pub neighbor_limit: f64,
     /// The clusters.
     pub clusters: Vec<Cluster>,
-    /// Node → cluster index.
-    pub node_cluster: Vec<u32>,
+    /// Node → cluster index. Fixed after the build, so shared by every
+    /// clone.
+    pub node_cluster: Arc<[u32]>,
     /// Node → round-trip distance to its cluster center (parallel to
-    /// `node_cluster`; needed to map newly added trajectories, Sec. 6).
-    pub node_center_dist: Vec<f64>,
-    /// `CC(T_j)`: for each trajectory id, the clusters it passes through
-    /// with `dr(T_j, c)` (one entry per distinct cluster). Stored as a
-    /// flat row arena (row = trajectory id); the dynamic-update path
-    /// rewrites/clears one row at a time.
-    pub traj_clusters: RowArena,
+    /// `node_cluster`; maps added and removed trajectories to `CC(T)`,
+    /// Sec. 6). Fixed after the build, so shared by every clone.
+    pub node_center_dist: Arc<[f64]>,
     /// Build statistics.
     pub stats: InstanceStats,
 }
@@ -133,9 +142,9 @@ impl ClusterInstance {
                     center: rc.center,
                     representative: None,
                     rep_distance: 0.0,
-                    nodes: rc.members.clone(),
-                    traj_list: Vec::new(),
-                    neighbors: Vec::new(),
+                    nodes: rc.members.as_slice().into(),
+                    traj_list: Arc::new([]),
+                    neighbors: Arc::new([]),
                 };
                 choose_representative(&mut c, trajs, is_site, strategy);
                 c
@@ -145,7 +154,7 @@ impl ClusterInstance {
         // Node → cluster map.
         let mut node_cluster = vec![u32::MAX; n];
         for (ci, c) in clusters.iter().enumerate() {
-            for &(v, _) in &c.nodes {
+            for &(v, _) in c.nodes.iter() {
                 node_cluster[v.index()] = ci as u32;
             }
         }
@@ -154,22 +163,21 @@ impl ClusterInstance {
         // Per-node distance to its center (for trajectory mapping).
         let mut node_center_dist = vec![0.0f64; n];
         for c in &clusters {
-            for &(v, d) in &c.nodes {
+            for &(v, d) in c.nodes.iter() {
                 node_center_dist[v.index()] = d;
             }
         }
 
-        // Trajectory lists and inverse map.
-        let mut cc_rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); trajs.id_bound()];
+        // Trajectory lists, in ascending trajectory id.
+        let mut traj_lists: Vec<Vec<(TrajId, f64)>> = vec![Vec::new(); clusters.len()];
         for (tj, traj) in trajs.iter() {
-            cc_rows[tj.index()] = map_trajectory(traj, &node_cluster, &node_center_dist);
-        }
-        for (j, ccs) in cc_rows.iter().enumerate() {
-            for &(ci, d) in ccs {
-                clusters[ci as usize].traj_list.push((TrajId(j as u32), d));
+            for (ci, d) in map_trajectory(traj, &node_cluster, &node_center_dist) {
+                traj_lists[ci as usize].push((tj, d));
             }
         }
-        let traj_clusters = RowArena::from_rows(&cc_rows);
+        for (c, list) in clusters.iter_mut().zip(traj_lists) {
+            c.traj_list = list.into();
+        }
 
         // Neighbor lists: centers within round-trip `neighbor_limit`.
         let centers: Vec<NodeId> = clusters.iter().map(|c| c.center).collect();
@@ -179,7 +187,7 @@ impl ClusterInstance {
         }
         let neighbor_lists = compute_neighbors(net, &centers, &center_of, neighbor_limit, threads);
         for (c, nb) in clusters.iter_mut().zip(neighbor_lists) {
-            c.neighbors = nb;
+            c.neighbors = nb.into();
         }
 
         let eta = clusters.len().max(1);
@@ -195,9 +203,8 @@ impl ClusterInstance {
             radius,
             neighbor_limit,
             clusters,
-            node_cluster,
-            node_center_dist,
-            traj_clusters,
+            node_cluster: node_cluster.into(),
+            node_center_dist: node_center_dist.into(),
             stats: InstanceStats {
                 mean_ball_size: gdsp.mean_ball_size,
                 mean_traj_list,
@@ -213,17 +220,24 @@ impl ClusterInstance {
     }
 
     /// Approximate heap footprint in bytes of everything this instance
-    /// stores (nodes, trajectory lists, neighbor lists, inverse maps).
+    /// reaches (node maps, member, trajectory and neighbor lists). Lists
+    /// shared with other clones are counted in full: this is the size of
+    /// one snapshot on its own, not its share of the heap.
     pub fn heap_size_bytes(&self) -> usize {
         let pair8 = std::mem::size_of::<(NodeId, f64)>();
-        let mut total = self.node_cluster.capacity() * 4 + self.node_center_dist.capacity() * 8;
+        // Strong and weak counts in front of every `Arc` allocation.
+        let arc = 2 * std::mem::size_of::<usize>();
+        let mut total = self.clusters.capacity() * std::mem::size_of::<Cluster>()
+            + 2 * arc
+            + self.node_cluster.len() * 4
+            + self.node_center_dist.len() * 8;
         for c in &self.clusters {
-            total += std::mem::size_of::<Cluster>();
-            total += c.nodes.capacity() * pair8;
-            total += c.traj_list.capacity() * pair8;
-            total += c.neighbors.capacity() * pair8;
+            total += 3 * arc;
+            total += c.nodes.len() * pair8;
+            total += c.traj_list.len() * pair8;
+            total += c.neighbors.len() * pair8;
         }
-        total + self.traj_clusters.heap_size_bytes()
+        total
     }
 }
 
@@ -262,7 +276,7 @@ pub(crate) fn choose_representative(
     match strategy {
         RepresentativeStrategy::ClosestToCenter => {
             // Members are sorted ascending by distance: first site wins.
-            for &(v, d) in &cluster.nodes {
+            for &(v, d) in cluster.nodes.iter() {
                 if is_site[v.index()] {
                     cluster.representative = Some(v);
                     cluster.rep_distance = d;
@@ -272,7 +286,7 @@ pub(crate) fn choose_representative(
         }
         RepresentativeStrategy::MostFrequented => {
             let mut best: Option<(usize, f64, NodeId)> = None;
-            for &(v, d) in &cluster.nodes {
+            for &(v, d) in cluster.nodes.iter() {
                 if !is_site[v.index()] {
                     continue;
                 }
@@ -415,8 +429,11 @@ mod tests {
         let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
         // Each trajectory appears in TL(g) for exactly the clusters in its
         // CC list, with matching distances.
-        for (tj, _) in trajs.iter() {
-            for (ci, d) in inst.traj_clusters.row(tj.index()).iter() {
+        let mut total_cc = 0;
+        for (tj, traj) in trajs.iter() {
+            let cc = map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist);
+            total_cc += cc.len();
+            for (ci, d) in cc {
                 assert!(
                     inst.clusters[ci as usize]
                         .traj_list
@@ -427,7 +444,7 @@ mod tests {
             }
         }
         let total_tl: usize = inst.clusters.iter().map(|c| c.traj_list.len()).sum();
-        assert_eq!(total_tl, inst.traj_clusters.live_pairs());
+        assert_eq!(total_tl, total_cc);
     }
 
     #[test]
@@ -435,7 +452,7 @@ mod tests {
         let (net, trajs) = fixture();
         let inst = build_instance(&net, &trajs, 200.0, RepresentativeStrategy::default());
         for (tj, traj) in trajs.iter() {
-            for (ci, d) in inst.traj_clusters.row(tj.index()).iter() {
+            for (ci, d) in map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist) {
                 let c = &inst.clusters[ci as usize];
                 let want = traj
                     .nodes()
@@ -493,7 +510,7 @@ mod tests {
         let ci = inst.node_cluster[3] as usize;
         let rep = inst.clusters[ci].representative.unwrap();
         let rep_count = trajs.trajectories_through(rep).len();
-        for &(v, _) in &inst.clusters[ci].nodes {
+        for &(v, _) in inst.clusters[ci].nodes.iter() {
             assert!(
                 trajs.trajectories_through(v).len() <= rep_count,
                 "rep {rep:?} not the most frequented (node {v:?} busier)"

@@ -15,7 +15,7 @@
 //! footprint; [`crate::coverage::ReferenceProvider::vec_layout_bytes`]
 //! models the legacy layout for before/after comparisons.
 
-use crate::arena::{PairArena, RowArena};
+use crate::arena::PairArena;
 use crate::coverage::CoverageIndex;
 use crate::index::NetClusIndex;
 use crate::query::ClusteredProvider;
@@ -47,12 +47,6 @@ impl HeapSize for ClusteredProvider {
 impl HeapSize for PairArena {
     fn heap_size_bytes(&self) -> usize {
         PairArena::heap_size_bytes(self)
-    }
-}
-
-impl HeapSize for RowArena {
-    fn heap_size_bytes(&self) -> usize {
-        RowArena::heap_size_bytes(self)
     }
 }
 

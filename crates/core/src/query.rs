@@ -271,14 +271,14 @@ fn build_tc_shard(
     for &ci in shard {
         let cluster: &Cluster = &instance.clusters[ci as usize];
         let version = scratch.begin();
-        for &(cj, d_centers) in &cluster.neighbors {
+        for &(cj, d_centers) in cluster.neighbors.iter() {
             let base = d_centers + cluster.rep_distance;
             if base > tau {
                 // Neighbors are sorted by distance; all further ones
                 // yield only larger estimates.
                 break;
             }
-            for &(tj, d_traj) in &instance.clusters[cj as usize].traj_list {
+            for &(tj, d_traj) in instance.clusters[cj as usize].traj_list.iter() {
                 let est = d_traj + base;
                 if est > tau {
                     continue;

@@ -10,12 +10,26 @@
 //!   replacement among the remaining member sites.
 //! * **Trajectory added** — map the node sequence to its compressed cluster
 //!   sequence per instance (`CC`), append to the affected `T L(g)` lists.
-//! * **Trajectory removed** — drop it from the `T L(g)` of every cluster in
-//!   its `CC`, then clear `CC`.
+//! * **Trajectory removed** — recompute `CC` from the removed trajectory
+//!   (a pure function of its nodes and the instance's fixed node maps, so
+//!   the index keeps no inverse map) and drop it from the `T L(g)` of every
+//!   cluster in it.
 //!
-//! The caller keeps the companion [`TrajectorySet`] in sync (add there
-//! first to obtain the id, remove there afterwards); `tests/` verify that
-//! an updated index is observationally identical to a fresh rebuild.
+//! The caller keeps the companion [`TrajectorySet`] in sync: add there
+//! first to obtain the id, and remove there first to obtain the trajectory
+//! that [`NetClusIndex::remove_trajectory`] takes. `tests/` verify that an
+//! updated index is observationally identical to a fresh rebuild.
+//!
+//! Trajectory lists are frozen `Arc<[..]>` slices shared by every clone
+//! of an index. An [`IndexBatch`] thaws each list it edits into a private
+//! vector on first touch and freezes it back when the batch ends, so a
+//! batch copies only the lists it touches (twice, however many of its
+//! edits land in one), and on a clone of a published index every other
+//! list stays shared with the original (see [`crate::cluster`]). The
+//! single-edit methods on [`NetClusIndex`] are batches of one: a loop of
+//! them copies a list once per edit that touches it.
+
+use std::collections::HashMap;
 
 use netclus_roadnet::NodeId;
 use netclus_trajectory::{TrajId, Trajectory, TrajectorySet};
@@ -66,60 +80,109 @@ impl NetClusIndex {
         true
     }
 
+    /// Starts a batch of trajectory edits; see [`IndexBatch`].
+    pub fn batch(&mut self) -> IndexBatch<'_> {
+        IndexBatch {
+            index: self,
+            thawed: HashMap::new(),
+        }
+    }
+
+    /// Indexes a newly added trajectory (a batch of one, see
+    /// [`IndexBatch::add_trajectory`]).
+    pub fn add_trajectory(&mut self, id: TrajId, traj: &Trajectory) {
+        self.batch().add_trajectory(id, traj);
+    }
+
+    /// Un-indexes a removed trajectory (a batch of one, see
+    /// [`IndexBatch::remove_trajectory`]).
+    pub fn remove_trajectory(&mut self, id: TrajId, traj: &Trajectory) {
+        self.batch().remove_trajectory(id, traj);
+    }
+
+    /// Applies a batch of trajectory additions as one [`IndexBatch`].
+    pub fn add_trajectories<'a, I>(&mut self, batch: I)
+    where
+        I: IntoIterator<Item = (TrajId, &'a Trajectory)>,
+    {
+        let mut edits = self.batch();
+        for (id, traj) in batch {
+            edits.add_trajectory(id, traj);
+        }
+    }
+}
+
+/// Trajectory edits to a [`NetClusIndex`] applied as one batch (paper
+/// Sec. 6 notes batches are more efficient). Every `T L(g)` the batch
+/// edits is thawed into a private vector on first touch and frozen back
+/// into a shared list when the batch is dropped; the index is not
+/// readable in between (the batch borrows it mutably).
+pub struct IndexBatch<'a> {
+    index: &'a mut NetClusIndex,
+    /// Thawed lists by `(instance, cluster)`.
+    thawed: HashMap<(usize, u32), Vec<(TrajId, f64)>>,
+}
+
+impl IndexBatch<'_> {
     /// Indexes a newly added trajectory. `id` must be the id returned by
     /// the companion [`TrajectorySet::add`] call.
     pub fn add_trajectory(&mut self, id: TrajId, traj: &Trajectory) {
-        for inst in &mut self.instances {
-            let cc = map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist);
-            for &(ci, d) in &cc {
-                inst.clusters[ci as usize].traj_list.push((id, d));
+        for (p, inst) in self.index.instances.iter().enumerate() {
+            for (ci, d) in map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist) {
+                self.thawed
+                    .entry((p, ci))
+                    .or_insert_with(|| inst.clusters[ci as usize].traj_list.to_vec())
+                    .push((id, d));
             }
-            inst.traj_clusters.ensure_rows(id.index() + 1);
-            inst.traj_clusters.set_row(id.index(), &cc);
         }
     }
 
-    /// Un-indexes a removed trajectory. Safe to call for ids that were
-    /// never indexed (no-op).
-    pub fn remove_trajectory(&mut self, id: TrajId) {
-        for inst in &mut self.instances {
-            if id.index() >= inst.traj_clusters.row_count() {
-                continue;
-            }
-            // Disjoint field borrows: the CC row is read while the cluster
-            // trajectory lists are edited.
-            let row = inst.traj_clusters.row(id.index());
-            for &ci in row.ids {
-                let list = &mut inst.clusters[ci as usize].traj_list;
+    /// Un-indexes a removed trajectory. `traj` must be the trajectory the
+    /// companion [`TrajectorySet::remove`] call returned for `id`: its
+    /// `CC` names the lists to edit. Safe to call for ids that were never
+    /// indexed (no-op).
+    pub fn remove_trajectory(&mut self, id: TrajId, traj: &Trajectory) {
+        for (p, inst) in self.index.instances.iter().enumerate() {
+            for (ci, _) in map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist) {
+                let frozen = &inst.clusters[ci as usize].traj_list;
+                let list = self.thawed.get(&(p, ci)).map_or(&frozen[..], Vec::as_slice);
+                // Find before thawing: a list without `id` stays shared.
                 if let Some(pos) = list.iter().position(|&(t, _)| t == id) {
-                    list.swap_remove(pos);
+                    self.thawed
+                        .entry((p, ci))
+                        .or_insert_with(|| frozen.to_vec())
+                        .swap_remove(pos);
                 }
             }
-            inst.traj_clusters.clear_row(id.index());
         }
     }
+}
 
-    /// Applies a batch of trajectory additions (paper Sec. 6 notes batches
-    /// are more efficient; here the saving is one instance loop).
-    pub fn add_trajectories<'a, I>(&mut self, batch: I)
-    where
-        I: IntoIterator<Item = (TrajId, &'a Trajectory)> + Clone,
-    {
-        for inst in &mut self.instances {
-            for (id, traj) in batch.clone() {
-                let cc = map_trajectory(traj, &inst.node_cluster, &inst.node_center_dist);
-                for &(ci, d) in &cc {
-                    inst.clusters[ci as usize].traj_list.push((id, d));
-                }
-                inst.traj_clusters.ensure_rows(id.index() + 1);
-                inst.traj_clusters.set_row(id.index(), &cc);
-            }
+impl IndexBatch<'_> {
+    /// [`NetClusIndex::add_site`] inside the batch (a site flip edits no
+    /// trajectory list).
+    pub fn add_site(&mut self, trajs: &TrajectorySet, v: NodeId) -> bool {
+        self.index.add_site(trajs, v)
+    }
+
+    /// [`NetClusIndex::remove_site`] inside the batch.
+    pub fn remove_site(&mut self, trajs: &TrajectorySet, v: NodeId) -> bool {
+        self.index.remove_site(trajs, v)
+    }
+}
+
+impl Drop for IndexBatch<'_> {
+    fn drop(&mut self) {
+        for ((p, ci), list) in self.thawed.drain() {
+            self.index.instances[p].clusters[ci as usize].traj_list = list.into();
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::index::{NetClusConfig, NetClusIndex};
     use crate::query::TopsQuery;
@@ -194,12 +257,12 @@ mod tests {
         let (net, mut trajs) = fixture();
         let sites: Vec<NodeId> = net.nodes().collect();
         let mut idx = NetClusIndex::build(&net, &trajs, &sites, config());
-        trajs.remove(TrajId(1));
-        idx.remove_trajectory(TrajId(1));
+        let removed = trajs.remove(TrajId(1)).unwrap();
+        idx.remove_trajectory(TrajId(1), &removed);
         let rebuilt = NetClusIndex::build(&net, &trajs, &sites, config());
         assert_equivalent(&idx, &rebuilt);
         // Removing again is a no-op.
-        idx.remove_trajectory(TrajId(1));
+        idx.remove_trajectory(TrajId(1), &removed);
         assert_equivalent(&idx, &rebuilt);
     }
 
@@ -276,6 +339,105 @@ mod tests {
         }
         idx_batch.add_trajectories(batch.iter().map(|(id, t)| (*id, t)));
         assert_equivalent(&idx_batch, &idx_seq);
+    }
+
+    /// Everything an index answers from, materialized: per instance and
+    /// cluster the center, representative and the three lists, plus the
+    /// site flags.
+    type Materialized = (
+        Vec<
+            Vec<(
+                NodeId,
+                Option<NodeId>,
+                u64,
+                Vec<(NodeId, u64)>,
+                Vec<(TrajId, u64)>,
+                Vec<(u32, u64)>,
+            )>,
+        >,
+        Vec<bool>,
+    );
+
+    fn materialize(idx: &NetClusIndex) -> Materialized {
+        let instances = idx
+            .instances()
+            .iter()
+            .map(|inst| {
+                inst.clusters
+                    .iter()
+                    .map(|c| {
+                        (
+                            c.center,
+                            c.representative,
+                            c.rep_distance.to_bits(),
+                            c.nodes.iter().map(|&(v, d)| (v, d.to_bits())).collect(),
+                            c.traj_list.iter().map(|&(t, d)| (t, d.to_bits())).collect(),
+                            c.neighbors.iter().map(|&(j, d)| (j, d.to_bits())).collect(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        (instances, idx.is_site.clone())
+    }
+
+    #[test]
+    fn updates_on_a_clone_share_untouched_lists_and_leave_the_original_intact() {
+        let (net, mut trajs) = fixture();
+        let sites: Vec<NodeId> = net.nodes().collect();
+        let original = NetClusIndex::build(&net, &trajs, &sites, config());
+        let before = materialize(&original);
+
+        let mut updated = original.clone();
+        let added = Trajectory::new((12..16).map(NodeId).collect());
+        let added_id = trajs.add(added.clone());
+        let removed = trajs.remove(TrajId(0)).unwrap();
+        // One batch: a trajectory added and removed again inside it edits
+        // lists the batch has already thawed.
+        let transient = Trajectory::new((11..14).map(NodeId).collect());
+        let transient_id = trajs.add(transient.clone());
+        trajs.remove(transient_id);
+        {
+            let mut edits = updated.batch();
+            edits.add_trajectory(added_id, &added);
+            edits.add_trajectory(transient_id, &transient);
+            edits.remove_trajectory(TrajId(0), &removed);
+            assert!(edits.remove_site(&trajs, NodeId(7)));
+            edits.remove_trajectory(transient_id, &transient);
+        }
+        assert!(updated.remove_site(&trajs, NodeId(1)));
+        assert!(updated.add_site(&trajs, NodeId(1)));
+
+        assert_eq!(materialize(&original), before, "the original changed");
+        let remaining: Vec<NodeId> = sites.iter().copied().filter(|&v| v != NodeId(7)).collect();
+        assert_equivalent(
+            &updated,
+            &NetClusIndex::build(&net, &trajs, &remaining, config()),
+        );
+        let mut shared = 0;
+        for (a, b) in original.instances().iter().zip(updated.instances()) {
+            assert!(Arc::ptr_eq(&a.node_cluster, &b.node_cluster));
+            assert!(Arc::ptr_eq(&a.node_center_dist, &b.node_center_dist));
+            let mut touched = vec![false; a.cluster_count()];
+            for t in [&added, &removed, &transient] {
+                for (ci, _) in map_trajectory(t, &a.node_cluster, &a.node_center_dist) {
+                    touched[ci as usize] = true;
+                }
+            }
+            assert!(touched.contains(&true));
+            shared += touched.iter().filter(|&&t| !t).count();
+            for ((ca, cb), touched) in a.clusters.iter().zip(&b.clusters).zip(touched) {
+                assert!(Arc::ptr_eq(&ca.nodes, &cb.nodes));
+                assert!(Arc::ptr_eq(&ca.neighbors, &cb.neighbors));
+                assert_eq!(
+                    Arc::ptr_eq(&ca.traj_list, &cb.traj_list),
+                    !touched,
+                    "cluster at {:?} (touched: {touched})",
+                    ca.center
+                );
+            }
+        }
+        assert!(shared > 0, "the fixture must leave some list untouched");
     }
 
     #[test]

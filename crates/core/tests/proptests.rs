@@ -221,7 +221,7 @@ proptest! {
         let first = trajs.iter().next().map(|(id, _)| id);
         if let Some(id) = first {
             let t = trajs.remove(id).unwrap();
-            index.remove_trajectory(id);
+            index.remove_trajectory(id, &t);
             let new_id = trajs.add(t.clone());
             index.add_trajectory(new_id, &t);
         }

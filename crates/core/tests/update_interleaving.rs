@@ -65,8 +65,8 @@ fn apply(op: RawOp, trajs: &mut TrajectorySet, index: &mut NetClusIndex, sites: 
             // Remove an arbitrary (possibly dead) id.
             if trajs.id_bound() > 0 {
                 let id = TrajId(a % trajs.id_bound() as u32);
-                if trajs.remove(id).is_some() {
-                    index.remove_trajectory(id);
+                if let Some(t) = trajs.remove(id) {
+                    index.remove_trajectory(id, &t);
                 }
             }
         }

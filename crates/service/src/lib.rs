@@ -10,8 +10,9 @@
 //!   [`TrajectorySet`](netclus_trajectory::TrajectorySet) and
 //!   [`NetClusIndex`](netclus::NetClusIndex) live behind an `Arc`-swapped
 //!   immutable [`Snapshot`]. Readers pin a snapshot with one atomic load
-//!   and never block; a writer applies an [`UpdateBatch`] to a private
-//!   copy and publishes it atomically under the next epoch.
+//!   and never block; a writer stages an [`UpdateBatch`] on a
+//!   copy-on-write clone and publishes it atomically under the next
+//!   epoch.
 //! * [`executor`] — a **worker-pool executor** with a bounded admission
 //!   queue. Requests are admitted, batched (each worker drains up to a
 //!   configurable number of requests and answers them against a single
@@ -39,8 +40,9 @@
 //!   serializable to single-line JSON.
 //! * [`shard_router`] — scatter-gather serving over a region-sharded
 //!   index: per-shard **replica sets** of snapshot stores in epoch
-//!   lockstep (hedged round-1 reads, per-replica breakers, catch-up
-//!   resync), a fan-out worker pool running the two-round distributed
+//!   lockstep (publishes staged outside the readers' lock, hedged
+//!   round-1 reads, per-replica breakers, catch-up resync), a fan-out
+//!   worker pool running the two-round distributed
 //!   greedy, and per-shard latency/replication lanes in the metrics
 //!   report.
 //! * [`trace`] — structured query-path tracing: per-stage latency
@@ -156,12 +158,13 @@ pub use shard_proto::ResyncSnapshot;
 pub use shard_router::{
     install_resync_snapshot, InProcessShard, QueryOptions, RemoteShard, RemoteShardConfig,
     Round1Ctx, Round1Ok, ShardApplyOutcome, ShardHello, ShardRouter, ShardRouterConfig,
-    ShardTransport, ShardedServiceAnswer, TransportCounters, TransportSnapshot,
+    ShardTransport, ShardedServiceAnswer, StagedApply, TransportCounters, TransportSnapshot,
     HEDGE_DELAY_FRACTION, ROUND1_BUDGET_FRACTION,
 };
 pub use shard_server::{ShardServer, ShardServerConfig};
 pub use snapshot::{
-    RoutedOp, Snapshot, SnapshotStore, UpdateBatch, UpdateOp, UpdateReceipt, UpdateSink,
+    RoutedOp, Snapshot, SnapshotStore, StagedSnapshot, StaleStage, UpdateBatch, UpdateOp,
+    UpdateReceipt, UpdateSink,
 };
 pub use telemetry::{TelemetryServer, TelemetrySource};
 pub use trace::{

@@ -41,9 +41,22 @@
 //! ([`RoutedOp::AddTrajectoryAt`]), while every other shard publishes an
 //! empty batch — so all shard stores advance epochs in lockstep and a
 //! gather never mixes epochs. Queries hold a shared read guard against the
-//! router's update lock for the duration of one fan-out; updates take the
-//! write side, so a scatter observes either all-old or all-new shards,
-//! never a torn mix. A shard that answers at an epoch behind the
+//! router's update lock for the duration of one fan-out. A publish runs in
+//! two phases so that readers never wait for the expensive part:
+//!
+//! 1. **Stage**, outside the update lock (only the router's writer mutex
+//!    serializes publishes): every replica builds its next snapshot
+//!    ([`ShardTransport::stage`]) — for an in-process shard, a
+//!    copy-on-write clone of its corpus and index with the routed slice
+//!    applied. Queries keep answering at the current lockstep epoch.
+//! 2. **Commit**, under the write side: every replica publishes its stage
+//!    ([`ShardTransport::commit`]), the lockstep epoch advances and the
+//!    caches are purged — pointer swaps and bookkeeping only.
+//!
+//! A scatter therefore observes either all-old or all-new shards, never a
+//! torn mix. Remote shards stage nothing (the wire protocol has no
+//! stage/commit frames): they apply the whole slice at commit, inside the
+//! lock, as before. A shard that answers at an epoch behind the
 //! router's lockstep epoch — possible only for a remote shard that
 //! missed an apply — is demoted to [`ShardFailure::EpochSkew`] at gather
 //! time and the answer degrades with a sound utility bound instead of
@@ -151,7 +164,8 @@ use crate::shard_proto::{
     round1_request, Request, RespError, Response, ResyncSnapshot, SHARD_PROTOCOL_VERSION,
 };
 use crate::snapshot::{
-    RoutedOp, Snapshot, SnapshotStore, UpdateBatch, UpdateOp, UpdateReceipt, UpdateSink,
+    RoutedOp, Snapshot, SnapshotStore, StagedSnapshot, UpdateBatch, UpdateOp, UpdateReceipt,
+    UpdateSink,
 };
 use crate::trace::{LoadGauge, Round1Source, Stage, TraceConfig, TraceMeta, Tracer};
 use crate::wire::{MAX_RESYNC_BLOB, MAX_SHARD_RESPONSE};
@@ -321,6 +335,19 @@ pub struct ShardApplyOutcome {
     pub results: Vec<bool>,
 }
 
+/// One shard replica's slice of an update batch between
+/// [`ShardTransport::stage`] and [`ShardTransport::commit`].
+#[derive(Debug)]
+pub enum StagedApply {
+    /// Nothing built yet: `commit` applies these ops (under the router's
+    /// update lock). What the default `stage` returns, so remote
+    /// transports keep applying inside the lock.
+    Deferred(Vec<RoutedOp>),
+    /// The replica's next snapshot, fully built outside the lock; `commit`
+    /// only publishes it.
+    Local(StagedSnapshot),
+}
+
 /// Borrowed router-side context for one round-1 task. The in-process
 /// transport runs the full memo → provider → cold resolution against the
 /// router-shared caches; the remote transport only reads `shard` and
@@ -359,6 +386,27 @@ pub trait ShardTransport: Send + Sync {
     /// empty — lockstep epochs advance on every batch) and reports the
     /// published epoch plus per-op acks.
     fn apply(&self, ops: &[RoutedOp]) -> Result<ShardApplyOutcome, ShardFailure>;
+    /// The first half of a publish, run **outside** the router's update
+    /// lock while readers keep answering from the current epoch: prepares
+    /// this shard's routed slice for [`ShardTransport::commit`]. The
+    /// default defers the ops, so a transport that does not override it
+    /// (remote shards: the wire protocol has no stage/commit frames)
+    /// still applies the whole batch inside the lock, at commit.
+    fn stage(&self, ops: &[RoutedOp]) -> Result<StagedApply, ShardFailure> {
+        Ok(StagedApply::Deferred(ops.to_vec()))
+    }
+    /// The second half of a publish, run **inside** the router's update
+    /// lock: makes a staged slice visible and reports the published epoch
+    /// plus per-op acks, like [`ShardTransport::apply`]. The default
+    /// applies deferred ops with `apply`; it cannot publish a
+    /// [`StagedApply::Local`] stage (only the store that built one can),
+    /// and answers [`ShardFailure::Unreachable`].
+    fn commit(&self, staged: StagedApply) -> Result<ShardApplyOutcome, ShardFailure> {
+        match staged {
+            StagedApply::Deferred(ops) => self.apply(&ops),
+            StagedApply::Local(_) => Err(ShardFailure::Unreachable),
+        }
+    }
     /// The shard's current (local) or last-observed (remote) epoch.
     fn epoch(&self) -> u64;
     /// The local snapshot store, when the shard lives in this process.
@@ -426,6 +474,26 @@ impl ShardTransport for InProcessShard {
             epoch: receipt.epoch,
             results,
         })
+    }
+
+    fn stage(&self, ops: &[RoutedOp]) -> Result<StagedApply, ShardFailure> {
+        Ok(StagedApply::Local(self.store.stage_routed(ops)))
+    }
+
+    /// Publishes a local stage; a stage whose base is no longer this
+    /// store's published snapshot is refused as
+    /// [`ShardFailure::EpochSkew`] and the replica misses the batch.
+    fn commit(&self, staged: StagedApply) -> Result<ShardApplyOutcome, ShardFailure> {
+        match staged {
+            StagedApply::Deferred(ops) => self.apply(&ops),
+            StagedApply::Local(staged) => match self.store.publish(staged) {
+                Ok((receipt, results)) => Ok(ShardApplyOutcome {
+                    epoch: receipt.epoch,
+                    results,
+                }),
+                Err(_) => Err(ShardFailure::EpochSkew),
+            },
+        }
     }
 
     fn epoch(&self) -> u64 {
@@ -1063,9 +1131,13 @@ struct RouterInner {
     /// fan out to all of them), so any replica's round-1 answer is *the*
     /// answer — which is what makes hedged reads and failover safe.
     transports: Vec<Vec<Box<dyn ShardTransport>>>,
-    /// Queries take `read`, updates take `write`: a fan-out observes every
-    /// shard at one lockstep epoch.
+    /// Queries take `read` for one fan-out; a publish takes `write` only
+    /// to commit already-staged shard snapshots. A fan-out therefore
+    /// observes every shard at one lockstep epoch.
     update_lock: RwLock<UpdateState>,
+    /// Serializes publishes (stage and commit) and resyncs. Readers never
+    /// take it, so staging the next epoch does not hold them up.
+    writer: Mutex<()>,
     queue: Mutex<RouterQueue>,
     queue_cv: Condvar,
     stopping: AtomicBool,
@@ -1347,6 +1419,7 @@ impl ShardRouter {
                 epoch,
                 replication,
             }),
+            writer: Mutex::new(()),
             queue: Mutex::new(RouterQueue {
                 tasks: VecDeque::new(),
                 shutdown: false,
@@ -2080,13 +2153,19 @@ impl ShardRouter {
     /// both transports. A shard whose apply RPC fails outright misses
     /// the batch and falls behind the lockstep epoch; its answers are
     /// demoted to [`ShardFailure::EpochSkew`] until it catches up.
+    ///
+    /// The publish runs in two phases (see the module docs): every
+    /// replica [stages](ShardTransport::stage) its slice under the
+    /// router's writer mutex only, while queries keep answering at the
+    /// current lockstep epoch; then the update lock's write side is held
+    /// just to [commit](ShardTransport::commit) the stages, advance the
+    /// epoch and purge the caches.
     pub fn apply_updates(&self, batch: UpdateBatch) -> UpdateReceipt {
         let inner = &*self.inner;
         let t = Instant::now();
-        let mut state = inner
-            .update_lock
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
+        let _writer = lock_recover(&inner.writer);
+        // Only publishes (serialized above) write `next_id`.
+        let mut next_id = read_recover(&inner.update_lock).next_id;
         let lanes = inner.transports.len();
         let mut routed: Vec<Vec<RoutedOp>> = (0..lanes).map(|_| Vec::new()).collect();
         // Where each batch op's routed copies landed — `(shard, index in
@@ -2120,8 +2199,8 @@ impl ShardRouter {
                         continue;
                     }
                     let owners = netclus::shards_of_trajectory(&inner.partition, &traj);
-                    let id = TrajId(state.next_id as u32);
-                    state.next_id += 1;
+                    let id = TrajId(next_id as u32);
+                    next_id += 1;
                     let mut slots = Vec::with_capacity(owners.len());
                     for &s in &owners {
                         slots.push((s as usize, routed[s as usize].len()));
@@ -2163,16 +2242,31 @@ impl ShardRouter {
         // every batch — to **every replica** of every shard, and collect
         // the per-op acks. Replicas hold bit-identical corpora, so the
         // first successful replica's ack vector is authoritative for the
-        // receipt; a replica whose apply fails misses the batch and falls
-        // behind the lockstep epoch, which excludes it from primary
-        // selection until it resyncs ([`ShardRouter::resync_replica`] or
-        // `netclus-shardd --join`).
+        // receipt; a replica whose stage or commit fails misses the batch
+        // and falls behind the lockstep epoch, which excludes it from
+        // primary selection until it resyncs
+        // ([`ShardRouter::resync_replica`] or `netclus-shardd --join`).
+        //
+        // Stage outside the update lock: queries keep answering at the
+        // current epoch while the next one is built.
+        let staged: Vec<Vec<Result<StagedApply, ShardFailure>>> = inner
+            .transports
+            .iter()
+            .zip(&routed)
+            .map(|(set, ops)| set.iter().map(|t| t.stage(ops)).collect())
+            .collect();
+        // Commit inside it: every shard swaps epochs at once.
+        let mut state = inner
+            .update_lock
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        state.next_id = next_id;
         let mut epoch = state.epoch;
         let mut acks: Vec<Vec<bool>> = Vec::with_capacity(lanes);
-        for (set, ops) in inner.transports.iter().zip(&routed) {
+        for ((set, ops), staged) in inner.transports.iter().zip(&routed).zip(staged) {
             let mut shard_acks: Option<Vec<bool>> = None;
-            for transport in set {
-                match transport.apply(ops) {
+            for (transport, staged) in set.iter().zip(staged) {
+                match staged.and_then(|staged| transport.commit(staged)) {
                     Ok(outcome) => {
                         epoch = epoch.max(outcome.epoch);
                         if shard_acks.is_none() {
@@ -2296,9 +2390,10 @@ impl ShardRouter {
     }
 
     /// Catches replica `replica` of shard `s` up to the live lockstep
-    /// epoch: under the update write lock (no applies or queries can
-    /// interleave), a healthy sibling at the lockstep epoch serves its
-    /// full corpus snapshot and the lagging replica installs it
+    /// epoch: under the router's writer mutex (so it never lands between
+    /// a publish's stage and its commit) and the update write lock (no
+    /// queries can interleave), a healthy sibling at the lockstep epoch
+    /// serves its full corpus snapshot and the lagging replica installs it
     /// wholesale, adopting the snapshot's epoch. Index construction is
     /// deterministic in the corpus, so the rejoined replica serves
     /// **bit-identical** round-1 answers from the first query after the
@@ -2314,6 +2409,7 @@ impl ShardRouter {
     /// When `s` or `replica` is out of range.
     pub fn resync_replica(&self, s: usize, replica: usize) -> Result<u64, ShardFailure> {
         let inner = &*self.inner;
+        let _writer = lock_recover(&inner.writer);
         let state = inner
             .update_lock
             .write()

@@ -4,13 +4,26 @@
 //! The paper's dynamic-update machinery (Sec. 6) mutates the index in
 //! place, which is fine for a single-threaded harness but unusable under
 //! concurrent queries. Here the index and corpus are immutable behind an
-//! [`Arc`]; a writer clones them (the road network itself is fixed, as in
-//! the paper, so it is shared by `Arc` and never copied), applies a whole
-//! [`UpdateBatch`] to the private copy, and publishes the result as the
-//! next [`Snapshot`] with a single pointer swap. Readers pin a snapshot
-//! with one `Arc` clone and keep answering from it even while newer epochs
-//! are published — every answer is therefore internally consistent with
-//! exactly one epoch, never a torn mix of two.
+//! [`Arc`]. A writer publishes the next epoch in two phases:
+//!
+//! 1. **Stage** ([`SnapshotStore::stage`], [`SnapshotStore::stage_routed`]):
+//!    clone the current corpus and index and apply a whole batch to the
+//!    private copy (one `netclus::update::IndexBatch`). The road network
+//!    is fixed (as in the paper) and shared by `Arc`; the index clone
+//!    copies cluster headers only, and the staged index shares every list
+//!    the batch does not touch with the published one (see
+//!    `netclus::cluster`). Nothing is visible yet.
+//! 2. **Publish** ([`SnapshotStore::publish`]): swap the staged snapshot in
+//!    with a single pointer store — refused if another snapshot was
+//!    published since the stage was built, so a stage can never overwrite
+//!    an epoch it did not see.
+//!
+//! [`SnapshotStore::apply`] runs both phases under the store's writer
+//! lock; the shard router stages every shard outside its update lock and
+//! publishes them together inside it. Readers pin a snapshot with one
+//! `Arc` clone and keep answering from it even while newer epochs are
+//! staged and published — every answer is therefore internally consistent
+//! with exactly one epoch, never a torn mix of two.
 
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -105,13 +118,61 @@ pub struct UpdateReceipt {
     pub rejected: usize,
 }
 
+/// The next epoch of a [`SnapshotStore`], built by
+/// [`SnapshotStore::stage`] or [`SnapshotStore::stage_routed`] and not yet
+/// visible to readers until [`SnapshotStore::publish`] swaps it in.
+#[derive(Debug)]
+pub struct StagedSnapshot {
+    /// The published snapshot the batch was applied to.
+    base: Arc<Snapshot>,
+    next: Snapshot,
+    receipt: UpdateReceipt,
+    results: Vec<bool>,
+}
+
+impl StagedSnapshot {
+    /// The epoch the stage was built on.
+    pub fn base_epoch(&self) -> u64 {
+        self.base.epoch
+    }
+
+    /// Per-op outcome (`true` = applied) in batch order.
+    pub fn results(&self) -> &[bool] {
+        &self.results
+    }
+}
+
+/// [`SnapshotStore::publish`] refused a stage: another snapshot was
+/// published (or installed) after the stage was built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StaleStage {
+    /// The epoch the refused stage was built on.
+    pub base_epoch: u64,
+    /// The epoch published now.
+    pub current_epoch: u64,
+}
+
+impl std::fmt::Display for StaleStage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "stage built on epoch {} but epoch {} is published",
+            self.base_epoch, self.current_epoch
+        )
+    }
+}
+
+impl std::error::Error for StaleStage {}
+
 /// The `Arc`-swapped store. `load` is wait-free for practical purposes (a
-/// read-lock held only for one `Arc` clone); writers serialize among
-/// themselves and never block readers while rebuilding.
+/// read-lock held only for one `Arc` clone); writers stage without any
+/// lock readers take, and publish with one pointer swap.
 #[derive(Debug)]
 pub struct SnapshotStore {
     current: RwLock<Arc<Snapshot>>,
-    /// Serializes writers so batches publish in a total epoch order.
+    /// Serializes [`SnapshotStore::apply`]-style writers and
+    /// [`SnapshotStore::install`], so batches publish in a total epoch
+    /// order.
     writer: Mutex<()>,
 }
 
@@ -157,19 +218,16 @@ impl SnapshotStore {
     }
 
     /// Applies `batch` to a private copy of the current state and publishes
-    /// it as the next epoch. Readers keep answering from older pinned
-    /// snapshots until they next call [`SnapshotStore::load`].
+    /// it as the next epoch: [`SnapshotStore::stage`] then
+    /// [`SnapshotStore::publish`], under the writer lock. Readers keep
+    /// answering from older pinned snapshots until they next call
+    /// [`SnapshotStore::load`].
     ///
     /// An empty batch still publishes a new (identical) epoch, which can be
     /// used to force cache invalidation.
     pub fn apply(&self, batch: &[UpdateOp]) -> UpdateReceipt {
-        self.apply_with(batch.iter().map(|op| match op {
-            UpdateOp::AddTrajectory(t) => GenericOp::AddTrajectory(None, t),
-            UpdateOp::RemoveTrajectory(id) => GenericOp::RemoveTrajectory(*id),
-            UpdateOp::AddSite(v) => GenericOp::AddSite(*v),
-            UpdateOp::RemoveSite(v) => GenericOp::RemoveSite(*v),
-        }))
-        .0
+        let _writer = self.writer.lock().expect("writer lock poisoned");
+        self.publish_staged(self.stage(batch)).0
     }
 
     /// The shard-routed variant of [`SnapshotStore::apply`]: trajectory
@@ -187,12 +245,66 @@ impl SnapshotStore {
     /// exact receipts and replication bookkeeping without a second round
     /// trip.
     pub fn apply_routed_results(&self, ops: &[RoutedOp]) -> (UpdateReceipt, Vec<bool>) {
-        self.apply_with(ops.iter().map(|op| match op {
+        let _writer = self.writer.lock().expect("writer lock poisoned");
+        self.publish_staged(self.stage_routed(ops))
+    }
+
+    /// Builds the next epoch from `batch` without publishing it: the
+    /// current snapshot is cloned copy-on-write and the batch applied to
+    /// the copy. [`SnapshotStore::load`] keeps returning the current
+    /// snapshot until [`SnapshotStore::publish`].
+    pub fn stage(&self, batch: &[UpdateOp]) -> StagedSnapshot {
+        self.stage_with(batch.iter().map(|op| match op {
+            UpdateOp::AddTrajectory(t) => GenericOp::AddTrajectory(None, t),
+            UpdateOp::RemoveTrajectory(id) => GenericOp::RemoveTrajectory(*id),
+            UpdateOp::AddSite(v) => GenericOp::AddSite(*v),
+            UpdateOp::RemoveSite(v) => GenericOp::RemoveSite(*v),
+        }))
+    }
+
+    /// The shard-routed variant of [`SnapshotStore::stage`] (see
+    /// [`SnapshotStore::apply_routed`]).
+    pub fn stage_routed(&self, ops: &[RoutedOp]) -> StagedSnapshot {
+        self.stage_with(ops.iter().map(|op| match op {
             RoutedOp::AddTrajectoryAt(id, t) => GenericOp::AddTrajectory(Some(*id), t),
             RoutedOp::RemoveTrajectory(id) => GenericOp::RemoveTrajectory(*id),
             RoutedOp::AddSite(v) => GenericOp::AddSite(*v),
             RoutedOp::RemoveSite(v) => GenericOp::RemoveSite(*v),
         }))
+    }
+
+    /// Publishes a stage as the next epoch and returns its receipt and
+    /// per-op outcomes.
+    ///
+    /// # Errors
+    /// [`StaleStage`] (and nothing changes) when the snapshot the stage
+    /// was built on is no longer the published one.
+    pub fn publish(
+        &self,
+        staged: StagedSnapshot,
+    ) -> Result<(UpdateReceipt, Vec<bool>), StaleStage> {
+        let StagedSnapshot {
+            base,
+            next,
+            receipt,
+            results,
+        } = staged;
+        let mut current = self.current.write().expect("snapshot lock poisoned");
+        if !Arc::ptr_eq(&current, &base) {
+            return Err(StaleStage {
+                base_epoch: base.epoch,
+                current_epoch: current.epoch,
+            });
+        }
+        *current = Arc::new(next);
+        Ok((receipt, results))
+    }
+
+    /// [`SnapshotStore::publish`] for a stage built under the writer lock,
+    /// which no other publish can have overtaken.
+    fn publish_staged(&self, staged: StagedSnapshot) -> (UpdateReceipt, Vec<bool>) {
+        self.publish(staged)
+            .expect("the writer lock keeps the stage base current")
     }
 
     /// Replaces the published state wholesale with `(trajs, index)` at
@@ -214,14 +326,12 @@ impl SnapshotStore {
         *self.current.write().expect("snapshot lock poisoned") = Arc::new(next);
     }
 
-    /// The single writer path behind [`SnapshotStore::apply`] and
-    /// [`SnapshotStore::apply_routed`]: copy-on-write clone, sequential op
-    /// application, atomic publish of the next epoch.
-    fn apply_with<'a, I>(&self, ops: I) -> (UpdateReceipt, Vec<bool>)
+    /// The single stage path behind every writer: copy-on-write clone of
+    /// the current snapshot and sequential op application to the copy.
+    fn stage_with<'a, I>(&self, ops: I) -> StagedSnapshot
     where
         I: Iterator<Item = GenericOp<'a>>,
     {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
         let base = self.load();
         // Private copies; the network is fixed and shared.
         let mut trajs = (*base.trajs).clone();
@@ -229,6 +339,7 @@ impl SnapshotStore {
         let mut applied = 0usize;
         let mut rejected = 0usize;
         let mut results = Vec::new();
+        let mut edits = index.batch();
         for op in ops {
             let ok = match op {
                 GenericOp::AddTrajectory(id, t) => {
@@ -240,7 +351,7 @@ impl SnapshotStore {
                             // slots instead of silently relabeling.
                             Some(id) => {
                                 if trajs.insert_at(id, t.clone()) {
-                                    index.add_trajectory(id, t);
+                                    edits.add_trajectory(id, t);
                                     true
                                 } else {
                                     false
@@ -248,24 +359,24 @@ impl SnapshotStore {
                             }
                             None => {
                                 let id = trajs.add(t.clone());
-                                index.add_trajectory(id, t);
+                                edits.add_trajectory(id, t);
                                 true
                             }
                         }
                     }
                 }
                 GenericOp::RemoveTrajectory(id) => match trajs.remove(id) {
-                    Some(_) => {
-                        index.remove_trajectory(id);
+                    Some(t) => {
+                        edits.remove_trajectory(id, &t);
                         true
                     }
                     None => false,
                 },
                 GenericOp::AddSite(v) => {
-                    v.index() < base.net.node_count() && index.add_site(&trajs, v)
+                    v.index() < base.net.node_count() && edits.add_site(&trajs, v)
                 }
                 GenericOp::RemoveSite(v) => {
-                    v.index() < base.net.node_count() && index.remove_site(&trajs, v)
+                    v.index() < base.net.node_count() && edits.remove_site(&trajs, v)
                 }
             };
             results.push(ok);
@@ -275,22 +386,23 @@ impl SnapshotStore {
                 rejected += 1;
             }
         }
+        drop(edits);
         let next = Snapshot {
             epoch: base.epoch + 1,
             net: Arc::clone(&base.net),
             trajs: Arc::new(trajs),
             index: Arc::new(index),
         };
-        let epoch = next.epoch;
-        *self.current.write().expect("snapshot lock poisoned") = Arc::new(next);
-        (
-            UpdateReceipt {
-                epoch,
+        StagedSnapshot {
+            receipt: UpdateReceipt {
+                epoch: next.epoch,
                 applied,
                 rejected,
             },
+            base,
+            next,
             results,
-        )
+        }
     }
 }
 
@@ -455,6 +567,66 @@ mod tests {
         // An empty routed batch still advances the epoch (lockstep).
         let r = store.apply_routed(&[]);
         assert_eq!(r.epoch, 3);
+    }
+
+    #[test]
+    fn stage_is_invisible_until_published() {
+        let store = fixture();
+        let staged = store.stage(&[
+            UpdateOp::AddTrajectory(Trajectory::new((5..9).map(NodeId).collect())),
+            UpdateOp::RemoveSite(NodeId(2)),
+        ]);
+        assert_eq!(staged.base_epoch(), 0);
+        assert_eq!(staged.results(), &[true, true]);
+        // Staging changes nothing a reader can see.
+        let pinned = store.load();
+        assert_eq!((pinned.epoch(), pinned.trajs().len()), (0, 1));
+        assert!(pinned.index().is_site(NodeId(2)));
+        assert_eq!(store.epoch(), 0);
+
+        let (receipt, results) = store.publish(staged).expect("base is current");
+        assert_eq!(
+            (receipt.epoch, receipt.applied, receipt.rejected),
+            (1, 2, 0)
+        );
+        assert_eq!(results, vec![true, true]);
+        let fresh = store.load();
+        assert_eq!((fresh.epoch(), fresh.trajs().len()), (1, 2));
+        assert!(!fresh.index().is_site(NodeId(2)));
+        // The pinned snapshot is untouched.
+        assert_eq!((pinned.epoch(), pinned.trajs().len()), (0, 1));
+        assert!(pinned.index().is_site(NodeId(2)));
+    }
+
+    #[test]
+    fn publish_refuses_a_stale_base() {
+        let store = fixture();
+        let early = store.stage(&[UpdateOp::RemoveSite(NodeId(1))]);
+        let late = store.stage_routed(&[RoutedOp::RemoveSite(NodeId(2))]);
+        store.publish(late).expect("base is current");
+        let err = store.publish(early).unwrap_err();
+        assert_eq!(
+            err,
+            StaleStage {
+                base_epoch: 0,
+                current_epoch: 1
+            }
+        );
+        let snap = store.load();
+        assert_eq!(snap.epoch(), 1);
+        assert!(snap.index().is_site(NodeId(1)), "the stale stage leaked");
+        // An install replaces the base even at the same epoch number.
+        let stage = store.stage(&[]);
+        store.install(1, (*snap.trajs()).clone(), (*snap.index()).clone());
+        assert_eq!(
+            store.publish(stage).unwrap_err(),
+            StaleStage {
+                base_epoch: 1,
+                current_epoch: 1
+            }
+        );
+        // A fresh apply still goes through.
+        assert_eq!(store.apply(&[]).epoch, 2);
     }
 
     #[test]
